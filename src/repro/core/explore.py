@@ -19,12 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING, Any, Dict, Generator
 
-from ..geometry import Point, Rect, distance
-from ..sim import Absorb, Barrier, Fork, Look, Move, Result, Sweep, Wait
+from ..geometry import Point, Rect
+from ..sim import Absorb, Barrier, Fork, Look, Move, Result, Snapshot, Sweep, Wait
 from ..sim.actions import Action
 from ..sim.engine import ProcessView
+from ..sim.lattice import LatticeAxis, LatticeRun
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..geometry import FrontierIndex
@@ -59,19 +62,20 @@ class ExplorationReport:
         self.snapshots += other.snapshots
 
 
-def _axis_stops(lo: float, hi: float) -> list[float]:
+def _lattice_axis(lo: float, hi: float) -> LatticeAxis:
     """Snapshot coordinates covering the closed interval ``[lo, hi]``.
 
     Stops are spaced at most ``sqrt(2)`` apart with the first/last at most
     ``sqrt(2)/2`` from the ends, so every coordinate of the interval is
     within ``sqrt(2)/2`` of a stop.
 
-    Memoized: a team exploration splits a rectangle into one strip per
-    robot, and every strip shares the parent's x-interval — at cohort
-    sizes that is thousands of identical lattices per rectangle.  Callers
-    never mutate the returned list.
+    Memoized per axis, together with the axis's hop lengths (built on
+    first use by a batched sweep): a team exploration splits a rectangle
+    into one strip per robot, and every strip shares the parent's
+    x-interval — at cohort sizes that is thousands of identical lattices
+    per rectangle.  Callers never mutate the returned axis.
     """
-    cached = _AXIS_STOPS_MEMO.get((lo, hi))
+    cached = _AXIS_MEMO.get((lo, hi))
     if cached is not None:
         return cached
     span = hi - lo
@@ -83,14 +87,14 @@ def _axis_stops(lo: float, hi: float) -> list[float]:
         # interval midpoints.
         step = span / count
         stops = [lo + (i + 0.5) * step for i in range(count)]
-    if len(_AXIS_STOPS_MEMO) >= _AXIS_STOPS_MEMO_MAX:
-        _AXIS_STOPS_MEMO.clear()
-    _AXIS_STOPS_MEMO[(lo, hi)] = stops
-    return stops
+    if len(_AXIS_MEMO) >= _AXIS_MEMO_MAX:
+        _AXIS_MEMO.clear()
+    axis = _AXIS_MEMO[(lo, hi)] = LatticeAxis(stops)
+    return axis
 
 
-_AXIS_STOPS_MEMO: Dict[tuple, list] = {}
-_AXIS_STOPS_MEMO_MAX = 4096
+_AXIS_MEMO: Dict[tuple, LatticeAxis] = {}
+_AXIS_MEMO_MAX = 4096
 
 
 def exploration_stops(rect: Rect) -> list[Point]:
@@ -100,8 +104,8 @@ def exploration_stops(rect: Rect) -> list[Point]:
     some stop, hence within Euclidean distance 1 — the Lemma 1 coverage
     invariant.  Rows alternate direction so consecutive stops are adjacent.
     """
-    ys = _axis_stops(rect.ymin, rect.ymax)
-    xs = _axis_stops(rect.xmin, rect.xmax)
+    ys = _lattice_axis(rect.ymin, rect.ymax).stops
+    xs = _lattice_axis(rect.xmin, rect.xmax).stops
     xs_reversed = xs[::-1]
     # Cohort explorations materialize millions of stops (one thin strip
     # per robot); skip the generated NamedTuple __new__ frame and build
@@ -147,63 +151,77 @@ def explore_rect(
     stops whose snapshot provably contains no sleeping robot (no initial
     position within the closed visibility reach — sleeping robots never
     move, so the oracle is static) are swept through in single engine
-    events, and only *hot* stops take real snapshots.  Travel path,
-    per-segment energy accounting and arrival times are identical to the
-    per-stop walk; what changes is the number of queue events and
-    sleeper-free snapshots.  A skipped stop may miss an *awake transient*
-    (a robot traveling far from every initial position); such sightings
-    only ever cancel a same-report sleeping entry, and the differential
-    suite pins that the omission never reaches a wake-time or energy
-    observable on any tested instance.  Near an energy budget the batched
-    path falls back to per-stop moves so an overrun aborts at exactly the
-    legacy point.
+    events, and only *hot* stops take real snapshots.  The batched walk
+    never materializes the lattice: each cold stretch is a
+    :class:`~repro.sim.lattice.LatticeRun` over the memoized axes, the
+    rectangle test reads the axis extents and hot stops are classified
+    from coordinates (:meth:`~repro.geometry.FrontierIndex.hot_lattice`).
+    Travel path, per-segment energy accounting and arrival times are
+    identical to the per-stop walk; what changes is the number of queue
+    events and sleeper-free snapshots.  A skipped stop may miss an *awake
+    transient* (a robot traveling far from every initial position); such
+    sightings only ever cancel a same-report sleeping entry, and the
+    differential suite pins that the omission never reaches a wake-time
+    or energy observable on any tested instance.  Near an energy budget
+    the batched path falls back to per-stop moves so an overrun aborts at
+    exactly the legacy point.
     """
     report = ExplorationReport()
-    stops = exploration_stops(rect)
-    if frontier is not None and _sweep_admissible(proc, stops, arrive_at):
-        yield from _explore_stops_batched(proc, stops, arrive_at, frontier, report)
-        return report
-    for stop in stops:
+    if frontier is not None:
+        x_axis = _lattice_axis(rect.xmin, rect.xmax)
+        y_axis = _lattice_axis(rect.ymin, rect.ymax)
+        if _sweep_admissible(proc, x_axis, y_axis, arrive_at):
+            yield from _explore_lattice_batched(
+                proc, x_axis, y_axis, arrive_at, frontier, report
+            )
+            return report
+    for stop in exploration_stops(rect):
         yield Move(stop)
         snap = (yield Look()).value
         report.snapshots += 1
-        for view in snap.robots:
-            if view.awake:
-                report.awake[view.robot_id] = view.position
-                report.sleeping.pop(view.robot_id, None)
-            elif view.robot_id not in report.awake:
-                report.sleeping[view.robot_id] = view.position
+        _record(report, snap)
     if arrive_at is not None:
         yield Move(arrive_at)
     return report
 
 
+def _record(report: ExplorationReport, snap: Snapshot) -> None:
+    """Fold one snapshot into ``report`` (awake sightings override)."""
+    for view in snap.robots:
+        if view.awake:
+            report.awake[view.robot_id] = view.position
+            report.sleeping.pop(view.robot_id, None)
+        elif view.robot_id not in report.awake:
+            report.sleeping[view.robot_id] = view.position
+
+
 def _sweep_admissible(
-    proc: ProcessView, stops: list[Point], arrive_at: Point | None
+    proc: ProcessView,
+    x_axis: LatticeAxis,
+    y_axis: LatticeAxis,
+    arrive_at: Point | None,
 ) -> bool:
     """Whether the whole walk clears every robot's remaining budget.
 
     Sweeping must never move the point (or simulation time) at which an
     :class:`~repro.sim.errors.EnergyBudgetExceeded` fires; when the walk
     could plausibly hit a budget, take the per-stop path whose abort
-    semantics are the reference.
+    semantics are the reference.  The total is the per-stop walk's
+    sequential sum of segment lengths.
     """
     remaining = proc.min_remaining_budget
     if remaining == math.inf:
         return True
-    total = 0.0
-    prev = proc.position
-    for stop in stops:
-        total += distance(prev, stop)
-        prev = stop
-    if arrive_at is not None:
-        total += distance(prev, arrive_at)
+    count = len(x_axis.stops) * len(y_axis.stops)
+    walk = LatticeRun(x_axis, y_axis, 0, count, arrive_at)
+    total = reduce(add, walk.segment_lengths(proc.position), 0.0)
     return total < remaining - 1e-6
 
 
-def _explore_stops_batched(
+def _explore_lattice_batched(
     proc: ProcessView,
-    stops: list[Point],
+    x_axis: LatticeAxis,
+    y_axis: LatticeAxis,
     arrive_at: Point | None,
     frontier: "FrontierIndex",
     report: ExplorationReport,
@@ -215,39 +233,21 @@ def _explore_stops_batched(
     the engine odometer (the single authoritative energy record, on the
     per-stop and batched paths alike) — reports carry no travel tally.
     """
-    report.snapshots += len(stops)
-    rect_hot = True
-    if stops:
-        xs = [s[0] for s in stops]
-        ys = [s[1] for s in stops]
-        rect_hot = frontier.rect_overlaps(min(xs), min(ys), max(xs), max(ys))
-    if not rect_hot:
-        # Entirely-cold rectangle: one sweep covers the whole lattice.
-        pending = list(stops)
-        if arrive_at is not None:
-            pending.append(arrive_at)
-        if pending:
-            yield Sweep(pending)
-        return
-    hot = frontier.hot_stops(stops)
-    pending = []
-    for idx, stop in enumerate(stops):
-        pending.append(stop)
-        if not hot[idx]:
-            continue
-        yield Sweep(pending)
-        pending = []
-        snap = (yield Look()).value
-        for view in snap.robots:
-            if view.awake:
-                report.awake[view.robot_id] = view.position
-                report.sleeping.pop(view.robot_id, None)
-            elif view.robot_id not in report.awake:
-                report.sleeping[view.robot_id] = view.position
-    if arrive_at is not None:
-        pending.append(arrive_at)
-    if pending:
-        yield Sweep(pending)
+    xs, ys = x_axis.stops, y_axis.stops
+    count = len(xs) * len(ys)
+    report.snapshots += count
+    # An entirely-cold rectangle needs no per-stop classification: one
+    # sweep covers the whole lattice.
+    hot: list[int] = []
+    if frontier.rect_overlaps(xs[0], ys[0], xs[-1], ys[-1]):
+        hot = frontier.hot_lattice(xs, ys)
+    start = 0
+    for k in hot:
+        yield Sweep(LatticeRun(x_axis, y_axis, start, k + 1))
+        start = k + 1
+        _record(report, (yield Look()).value)
+    if start < count or arrive_at is not None:
+        yield Sweep(LatticeRun(x_axis, y_axis, start, count, arrive_at))
 
 
 def explore_rect_team(

@@ -64,6 +64,8 @@ class BenchWorkload:
     ``runner`` executes the workload once and returns the number of engine
     events it processed (0 when not applicable).  ``tier="quick"``
     workloads run in both tiers; ``"full"`` only under ``--tier full``.
+    ``robots`` is the swarm size the events are spread over (summed over
+    jobs); when given, measurements also report events per robot.
     """
 
     name: str
@@ -72,6 +74,7 @@ class BenchWorkload:
     runner: Callable[[], int]
     repeat: int = 3
     meta: dict[str, Any] = field(default_factory=dict)
+    robots: int | None = None
 
     def __post_init__(self) -> None:
         if self.suite not in SUITES:
@@ -80,7 +83,7 @@ class BenchWorkload:
             raise ValueError(f"unknown tier {self.tier!r}")
 
 
-_SLEEPER_CACHE: dict[tuple[int, float], list] = {}
+_SLEEPER_CACHE: dict[tuple, list] = {}
 
 
 def _move_look_world(n: int = 5000, half: float = 50.0):
@@ -163,6 +166,48 @@ def run_polyline(waypoints: int = 600, repeats: int = 40, trace=None) -> int:
 
     engine.spawn(program, [SOURCE_ID])
     result = engine.run()
+    return result.events_processed
+
+
+def run_sweep_lattice(
+    n: int = 400, side: float = 240.0, repeats: int = 4, trace=None
+) -> int:
+    """Frontier-batched exploration of one large, mostly empty square.
+
+    A single process explores a ``side x side`` square (a ~29k-stop
+    snapshot lattice) holding ``n`` sleepers in a central disk, the way
+    an AWave cell is explored: cold stretches of the lattice go by as
+    lattice-run :class:`~repro.sim.Sweep` events and only hot stops take
+    snapshots.  Guards the described-sweep path (run construction,
+    segment-length folds, hot-stop classification) the way ``polyline``
+    guards per-segment stepping.
+    """
+    from repro.core.explore import explore_rect
+    from repro.geometry import Point, Rect, frontier_for
+    from repro.sim import SOURCE_ID, Engine, World
+
+    sleepers = _SLEEPER_CACHE.get(("disk", n, side))
+    if sleepers is None:
+        rng = random.Random(1)
+        sleepers = _SLEEPER_CACHE[("disk", n, side)] = []
+        while len(sleepers) < n:
+            x, y = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+            if x * x + y * y <= 1.0:
+                sleepers.append(Point(side / 2 + x * side / 4, side / 2 + y * side / 4))
+    world = World(source=Point(0.0, 0.0), positions=sleepers)
+    frontier = frontier_for(sleepers, world.visibility_radius)
+    engine = Engine(world, trace=trace)
+    rect = Rect(0.0, 0.0, side, side)
+
+    def program(proc):
+        for _ in range(repeats):
+            yield from explore_rect(
+                proc, rect, arrive_at=Point(0.0, 0.0), frontier=frontier
+            )
+
+    engine.spawn(program, [SOURCE_ID])
+    result = engine.run()
+    assert result.snapshots > 0
     return result.events_processed
 
 
@@ -257,11 +302,19 @@ def bench_workloads() -> tuple[BenchWorkload, ...]:
             meta={"waypoints": 600, "repeats": 40, "trace": "null"},
         ),
         BenchWorkload(
+            name="sweep_lattice",
+            suite="engine", tier="quick", repeat=3,
+            runner=lambda: run_sweep_lattice(trace=NullTrace()),
+            meta={"n": 400, "side": 240.0, "repeats": 4, "trace": "null"},
+            robots=400,
+        ),
+        BenchWorkload(
             name="harness_dispatch",
             suite="engine", tier="quick", repeat=3,
             runner=run_harness_dispatch,
             meta={"jobs": 24, "n": 12, "algorithm": "agrid",
                   "executor": "serial"},
+            robots=24 * 12,
         ),
         # -- scale suite -------------------------------------------------
         BenchWorkload(
@@ -271,6 +324,7 @@ def bench_workloads() -> tuple[BenchWorkload, ...]:
                 "agrid", n=20000, rho=85.0, params={"ell": 2, "rho": 85.0}
             ),
             meta={"algorithm": "agrid", "n": 20000, "rho": 85.0, "ell": 2},
+            robots=20000,
         ),
         BenchWorkload(
             name="quadtree_uniform_20k",
@@ -279,6 +333,7 @@ def bench_workloads() -> tuple[BenchWorkload, ...]:
                 "quadtree", n=20000, rho=85.0, params={"ell": 2, "rho": 85.0}
             ),
             meta={"algorithm": "quadtree", "n": 20000, "rho": 85.0, "ell": 2},
+            robots=20000,
         ),
         BenchWorkload(
             # Historically the event-volume outlier: ~1700 engine events
@@ -295,6 +350,7 @@ def bench_workloads() -> tuple[BenchWorkload, ...]:
                 "awave", n=500, rho=14.0, params={"ell": 2, "rho": 14.0}
             ),
             meta={"algorithm": "awave", "n": 500, "rho": 14.0, "ell": 2},
+            robots=500,
         ),
         BenchWorkload(
             # The new AWave scale point gated by CI (quick tier runs in
@@ -306,6 +362,7 @@ def bench_workloads() -> tuple[BenchWorkload, ...]:
                 "awave", n=5000, rho=42.0, params={"ell": 2, "rho": 42.0}
             ),
             meta={"algorithm": "awave", "n": 5000, "rho": 42.0, "ell": 2},
+            robots=5000,
         ),
         BenchWorkload(
             # ~40x the pre-frontier record: AWave at AGrid's quick-tier
@@ -317,6 +374,7 @@ def bench_workloads() -> tuple[BenchWorkload, ...]:
                 "awave", n=20000, rho=85.0, params={"ell": 2, "rho": 85.0}
             ),
             meta={"algorithm": "awave", "n": 20000, "rho": 85.0, "ell": 2},
+            robots=20000,
         ),
         BenchWorkload(
             name="agrid_slow_swarm_10k",
@@ -329,6 +387,7 @@ def bench_workloads() -> tuple[BenchWorkload, ...]:
                 "algorithm": "agrid", "scenario": "slow_swarm", "n": 10000,
                 "rho": 60.0, "ell": 2, "slow_fraction": 0.2,
             },
+            robots=10000,
         ),
         BenchWorkload(
             name="agrid_uniform_100k",
@@ -337,6 +396,7 @@ def bench_workloads() -> tuple[BenchWorkload, ...]:
                 "agrid", n=100000, rho=190.0, params={"ell": 2, "rho": 190.0}
             ),
             meta={"algorithm": "agrid", "n": 100000, "rho": 190.0, "ell": 2},
+            robots=100000,
         ),
     )
 
@@ -355,15 +415,19 @@ class Measurement:
     events_per_s: float
     peak_rss_mb: float
     meta: dict[str, Any]
+    events_per_robot: float | None = None
 
     def as_dict(self) -> dict[str, Any]:
-        return {
+        payload = {
             "wall_s": round(self.wall_s, 4),
             "events": self.events,
             "events_per_s": round(self.events_per_s, 1),
             "peak_rss_mb": round(self.peak_rss_mb, 1),
             "meta": self.meta,
         }
+        if self.events_per_robot is not None:
+            payload["events_per_robot"] = round(self.events_per_robot, 2)
+        return payload
 
 
 @dataclass
@@ -441,6 +505,9 @@ def measure(workload: BenchWorkload) -> Measurement:
         events_per_s=(events / best_wall) if best_wall > 0 else 0.0,
         peak_rss_mb=_peak_rss_mb(),
         meta=dict(workload.meta),
+        events_per_robot=(
+            events / workload.robots if workload.robots else None
+        ),
     )
 
 
@@ -466,9 +533,14 @@ def run_suite(
             progress(f"[{suite}] {workload.name} (x{workload.repeat}) ...")
         m = measure(workload)
         if progress is not None:
+            per_robot = (
+                "" if m.events_per_robot is None
+                else f", {m.events_per_robot:,.1f} events/robot"
+            )
             progress(
                 f"[{suite}] {workload.name}: {m.wall_s:.3f}s "
-                f"({m.events_per_s:,.0f} events/s, rss {m.peak_rss_mb:.0f}MB)"
+                f"({m.events_per_s:,.0f} events/s{per_robot}, "
+                f"rss {m.peak_rss_mb:.0f}MB)"
             )
         measurements.append(m)
     return SuiteReport(suite=suite, tier=tier, measurements=measurements)

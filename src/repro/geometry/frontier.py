@@ -51,6 +51,7 @@ side.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Hashable, Iterable, Sequence
 
 try:  # numpy is a hard dependency of the package, but degrade gracefully
@@ -182,7 +183,9 @@ class FrontierIndex:
         """
         if self._n == 0:
             return False
-        x, y = float(p[0]), float(p[1])
+        return self._any_within_xy(float(p[0]), float(p[1]))
+
+    def _any_within_xy(self, x: float, y: float) -> bool:
         bbox = self._bbox
         if not (bbox[0] <= x <= bbox[2] and bbox[1] <= y <= bbox[3]):
             return False
@@ -242,6 +245,37 @@ class FrontierIndex:
         if self._n == 0 or not stops:
             return [False] * len(stops)
         return [self.any_within(s) for s in stops]
+
+    def hot_lattice(self, xs: Sequence[float], ys: Sequence[float]) -> list[int]:
+        """Hot stops of the boustrophedon lattice over sorted ``xs x ys``.
+
+        Returns the walk-order indices (row ``j`` left to right when even,
+        right to left when odd; see :class:`repro.sim.lattice.LatticeRun`)
+        of exactly the stops :meth:`hot_stops` would flag, classified from
+        coordinates: no stop is built, and rows and columns outside the
+        index's bounding box are skipped wholesale, the same pre-filter
+        :meth:`any_within` applies per stop.
+        """
+        if self._n == 0:
+            return []
+        bx0, by0, bx1, by1 = self._bbox
+        nx = len(xs)
+        lo = bisect_left(xs, bx0)
+        hi = bisect_right(xs, bx1)
+        hot: list[int] = []
+        if lo >= hi:
+            return hot
+        within = self._any_within_xy
+        for j, y in enumerate(ys):
+            if not by0 <= y <= by1:
+                continue
+            base = j * nx
+            if j & 1:
+                last = base + nx - 1
+                hot += [last - c for c in range(hi - 1, lo - 1, -1) if within(xs[c], y)]
+            else:
+                hot += [base + c for c in range(lo, hi) if within(xs[c], y)]
+        return hot
 
     def rect_overlaps(self, xmin: float, ymin: float, xmax: float, ymax: float) -> bool:
         """Whether any initial position lies in the rect padded by ``reach``.

@@ -36,6 +36,7 @@ from .actions import (
     Wake,
 )
 from .engine import Engine, ProcessView, SimulationResult
+from .lattice import LatticeAxis, LatticeRun
 from .errors import (
     AbsorbError,
     BarrierError,
@@ -62,6 +63,8 @@ __all__ = [
     "Move",
     "MovePath",
     "Sweep",
+    "LatticeAxis",
+    "LatticeRun",
     "Program",
     "Result",
     "RobotView",

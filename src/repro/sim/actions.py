@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Generator, NamedTuple, Sequence, TYPE_CHECKING
 
 from ..geometry import Point
+from .lattice import LatticeRun
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import ProcessView
@@ -102,6 +103,13 @@ class Sweep(Action):
     exploration lattice cannot reveal anything sweeps through it in one
     event instead of thousands.
 
+    ``waypoints`` is either a list of points (copied into a tuple) or a
+    :class:`~repro.sim.lattice.LatticeRun`, kept as given: a stretch of a
+    boustrophedon lattice described by its two axes and a stop range, so
+    that a sweep over thousands of stops allocates no point per stop.
+    The engine handles both forms the same way and charges bit-identical
+    segment lengths (see :mod:`repro.sim.lattice`).
+
     One deliberate asymmetry: because the whole polyline is validated up
     front, an :class:`~repro.sim.errors.EnergyBudgetExceeded` overrun on
     a later segment raises at *issue* time (process still at its origin,
@@ -119,10 +127,12 @@ class Sweep(Action):
     motion.
     """
 
-    waypoints: tuple[Point, ...]
+    waypoints: Sequence[Point]
 
     def __init__(self, waypoints: Sequence[Point]) -> None:
-        object.__setattr__(self, "waypoints", tuple(waypoints))
+        if type(waypoints) is not LatticeRun:
+            waypoints = tuple(waypoints)
+        object.__setattr__(self, "waypoints", waypoints)
 
 
 @dataclass(frozen=True)

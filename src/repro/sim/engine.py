@@ -34,6 +34,8 @@ import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce as _fold
+from operator import add as _add
 from typing import Any, Callable, Dict, Generator, Sequence
 
 from ..geometry import (
@@ -79,6 +81,8 @@ from .errors import (
     SimulationDeadlock,
     WakeError,
 )
+from .lattice import LatticeRun
+from .robot import Robot
 from .trace import Trace
 from .world import CO_LOCATION_TOL, World
 
@@ -610,52 +614,45 @@ class Engine:
 
     def _handle_sweep(self, proc: _Process, action: Sweep) -> None:
         # Batched polyline: observationally identical to one Move per
-        # waypoint — same per-segment budget checks and odometer charges
-        # (in the same float-op order), same sequential arrival-time
-        # accumulation, same interpolated positions for observers — but
-        # the queue sees a single event at the final arrival.
+        # waypoint — same per-segment budget checks and odometer charges,
+        # same sequential arrival-time accumulation, same interpolated
+        # positions for observers — but the queue sees a single event at
+        # the final arrival.  One path for both waypoint forms: build the
+        # segment lengths, then charge and time them with C-level left
+        # folds, which add in exactly the Move chain's order.
         waypoints = action.waypoints
         if not waypoints:
             raise ProtocolError("empty sweep")
+        position = proc.position
+        if type(waypoints) is LatticeRun:
+            lengths = waypoints.segment_lengths(position)
+        else:
+            lengths = _polyline_lengths(position, waypoints)
+        # A chain of Moves treats a tiny hop as a teleport: no odometer
+        # charge, no elapsed time.  Adding 0.0 instead is exact.
+        charged = lengths
+        if min(lengths) <= EPS:
+            charged = [length if length > EPS else 0.0 for length in lengths]
         robots = self.world.robots
         team = [robots[rid] for rid in proc.robot_ids]
-        position = proc.position
-        speed = proc.speed
         # Per-segment budget checks only matter for bounded robots; the
-        # common unbounded sweep skips the inner check loop entirely (the
-        # check can never fire against an infinite budget).
-        bounded = any(robot.budget != math.inf for robot in team)
-        t = self.now
-        ends: list[float] = []
-        ends_append = ends.append
-        prev = position
-        total = 0.0
-        hypot = math.hypot
-        solo = team[0] if len(team) == 1 else None
-        for target in waypoints:
-            length = hypot(prev[0] - target[0], prev[1] - target[1])
-            total += length
-            if bounded:
-                for robot in team:
-                    if robot.odometer + length > robot.budget + 1e-9:
-                        raise EnergyBudgetExceeded(
-                            robot.robot_id,
-                            robot.odometer + length, robot.budget,
-                        )
-            if length <= EPS:
-                # A chain of Moves treats a tiny hop as a teleport: no
-                # odometer charge, no elapsed time.
-                ends_append(t)
-                prev = target
-                continue
-            if solo is not None:
-                solo.odometer += length
-            else:
-                for robot in team:
-                    robot.odometer += length
-            t = t + length / speed
-            ends_append(t)
-            prev = target
+        # common unbounded sweep skips them entirely.
+        if any(robot.budget != math.inf for robot in team):
+            overrun = _first_overrun(team, lengths, charged)
+            if overrun is not None:
+                segment, robot, needed = overrun
+                for member in team:
+                    member.odometer = _fold(_add, charged[:segment], member.odometer)
+                raise EnergyBudgetExceeded(robot.robot_id, needed, robot.budget)
+        for robot in team:
+            robot.odometer = _fold(_add, charged, robot.odometer)
+        speed = proc.speed
+        ends = list(itertools.accumulate(
+            charged if speed == 1.0 else [length / speed for length in charged],
+            initial=self.now,
+        ))
+        del ends[0]
+        t = ends[-1]
         if t <= self.now:
             # Degenerate all-tiny sweep: complete immediately, like a
             # zero-length move.
@@ -689,7 +686,7 @@ class Engine:
             trace.append(
                 self.now, "sweep", proc.pid,
                 {
-                    "length": total, "to": waypoints[-1],
+                    "length": _fold(_add, lengths, 0.0), "to": proc.motion_to,
                     "waypoints": len(waypoints), "robots": len(team),
                 },
             )
@@ -1285,17 +1282,62 @@ def _polyline_bbox(
     """Axis bounds of a whole polyline expanded by the visibility radius.
 
     A boustrophedon sweep wanders far outside the bbox of its endpoints,
-    so a mover bbox for a :class:`Sweep` must cover every waypoint.  The
-    padded superset only admits *candidates* — observers re-check exact
-    interpolated distances — so a looser box is safe, never wrong.
+    so a mover bbox for a :class:`Sweep` must cover every waypoint; a
+    :class:`LatticeRun` reports its extents in O(1).  The padded superset
+    only admits *candidates* — observers re-check exact interpolated
+    distances — so a looser box is safe, never wrong.
     """
     pad = radius + 1e-9
-    xs = [origin[0]]
-    ys = [origin[1]]
-    for w in waypoints:
-        xs.append(w[0])
-        ys.append(w[1])
-    return (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
+    if type(waypoints) is LatticeRun:
+        xmin, ymin, xmax, ymax = waypoints.extents()
+    else:
+        xmin = min(w[0] for w in waypoints)
+        ymin = min(w[1] for w in waypoints)
+        xmax = max(w[0] for w in waypoints)
+        ymax = max(w[1] for w in waypoints)
+    return (
+        min(xmin, origin[0]) - pad,
+        min(ymin, origin[1]) - pad,
+        max(xmax, origin[0]) + pad,
+        max(ymax, origin[1]) + pad,
+    )
+
+
+def _polyline_lengths(origin: Point, waypoints: Sequence[Point]) -> list[float]:
+    """Per-segment ``math.hypot`` lengths of the walk ``origin -> waypoints``."""
+    hypot = math.hypot
+    lengths = []
+    prev = origin
+    for target in waypoints:
+        lengths.append(hypot(prev[0] - target[0], prev[1] - target[1]))
+        prev = target
+    return lengths
+
+
+def _first_overrun(
+    team: list[Robot], lengths: list[float], charged: list[float]
+) -> tuple[int, Robot, float] | None:
+    """The Move chain's first budget failure along a sweep, if any.
+
+    Returns ``(segment, robot, odometer + length)`` for the earliest
+    segment at which some robot's check ``odometer + length > budget +
+    1e-9`` fails (ties go to the earlier team member, the chain's check
+    order), with ``odometer`` the robot's charge before that segment.
+    """
+    first = None
+    for robot in team:
+        limit = robot.budget + 1e-9
+        if limit == math.inf:
+            continue
+        needed = list(map(
+            _add, itertools.accumulate(charged, initial=robot.odometer), lengths
+        ))
+        if not max(needed) > limit:
+            continue
+        segment = next(i for i, value in enumerate(needed) if value > limit)
+        if first is None or segment < first[0]:
+            first = (segment, robot, needed[segment])
+    return first
 
 
 def _motion_bbox_of(

@@ -28,6 +28,8 @@ import dataclasses
 import math
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Any, Dict, Mapping, Sequence
 
 from ..geometry import EPS, HAVE_NUMPY, FrozenGridHash, GridHash, Point
@@ -413,13 +415,15 @@ class World:
     def total_odometer(self) -> float:
         """Total distance travelled by the swarm.
 
-        Summed in robot-id order over the materialized records: identical
-        to the full-swarm sum (untouched robots contribute exactly 0.0),
-        including float rounding — summation order is part of the
-        byte-identical results contract.
+        A plain left fold from ``0.0`` in robot-id order over the
+        materialized records: identical to the full-swarm sum (untouched
+        robots contribute exactly 0.0), including float rounding —
+        summation order is part of the byte-identical results contract.
+        Not built-in ``sum()``: from Python 3.12 it compensates float
+        rounding, so its result would depend on the interpreter.
         """
         touched = sorted(self.robots.loaded(), key=lambda r: r.robot_id)
-        return sum(r.odometer for r in touched)
+        return reduce(add, [r.odometer for r in touched], 0.0)
 
     # -- mutation (engine only) ------------------------------------------
     def mark_awake(self, robot_id: int, time: float, waker_id: int | None) -> Robot:

@@ -14,8 +14,9 @@ from repro.core import (
     explore_rect,
     explore_rect_team,
 )
+from repro.core.explore import _lattice_axis
 from repro.geometry import Point, Rect, distance
-from repro.sim import Engine, SOURCE_ID, World
+from repro.sim import Engine, LatticeRun, SOURCE_ID, World
 
 dims = st.floats(0.5, 20.0)
 
@@ -48,6 +49,17 @@ class TestStops:
     def test_tiny_rect_single_stop(self):
         stops = exploration_stops(Rect(0, 0, 1, 1))
         assert stops == [Point(0.5, 0.5)]
+
+    @given(dims, dims)
+    @settings(max_examples=60, deadline=None)
+    def test_lattice_run_describes_the_same_walk(self, w, h):
+        """The batched walk's described lattice == the per-stop lattice."""
+        rect = Rect(1.5, -2.0, 1.5 + w, -2.0 + h)
+        x_axis = _lattice_axis(rect.xmin, rect.xmax)
+        y_axis = _lattice_axis(rect.ymin, rect.ymax)
+        count = len(x_axis.stops) * len(y_axis.stops)
+        run = LatticeRun(x_axis, y_axis, 0, count)
+        assert list(run) == exploration_stops(rect)
 
 
 class TestSingleRobot:

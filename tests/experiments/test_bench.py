@@ -37,6 +37,7 @@ class TestRegistry:
         # The CI-gated AWave scale point rides the quick tier.
         by_name = {w.name: w for w in bench_workloads()}
         assert by_name["awave_uniform_5k"].tier == "quick"
+        assert by_name["sweep_lattice"].tier == "quick"
 
     def test_bad_suite_or_tier_rejected(self):
         with pytest.raises(ValueError, match="unknown suite"):
@@ -54,6 +55,8 @@ class TestMeasurement:
         m = measure(tiny_workload())
         assert m.name == "tiny"
         assert m.events == 7
+        assert m.events_per_robot is None
+        assert "events_per_robot" not in m.as_dict()
         assert m.wall_s >= 0.0
         assert m.events_per_s > 0.0
         assert m.peak_rss_mb > 0.0
@@ -116,6 +119,13 @@ def baseline_with(name_to_wall):
     return report_with(name_to_wall).as_dict()
 
 
+def test_events_per_robot_reported():
+    workload = BenchWorkload("w", "engine", "quick", lambda: 30, robots=12)
+    m = measure(workload)
+    assert m.events_per_robot == 2.5
+    assert m.as_dict()["events_per_robot"] == 2.5
+
+
 class TestCompareGate:
     def test_within_tolerance_passes(self):
         deltas, ok = compare(
@@ -169,6 +179,13 @@ class TestEngineWorkloadsSmoke:
 
         events = run_polyline(waypoints=40, repeats=2, trace=NullTrace())
         assert events > 80
+
+    def test_sweep_lattice_small(self):
+        from repro.experiments.bench import run_sweep_lattice
+        from repro.sim import NullTrace
+
+        events = run_sweep_lattice(n=20, side=30.0, repeats=1, trace=NullTrace())
+        assert events > 2
 
     def test_scale_request_small(self):
         from repro.experiments.bench import run_scale_request

@@ -26,7 +26,8 @@ from repro.core.awave import (
     awave_schedule,
     awave_window_start,
 )
-from repro.geometry import FrontierIndex, Point, frontier_for
+from repro.core.explore import exploration_stops
+from repro.geometry import FrontierIndex, Point, Rect, frontier_for
 
 COORD = st.floats(
     min_value=-300.0, max_value=300.0, allow_nan=False, allow_infinity=False
@@ -76,9 +77,34 @@ class TestHotStops:
                     and rect[1] - 2.0 <= py <= rect[3] + 2.0
                 )
 
+    @given(
+        points=st.lists(
+            st.tuples(
+                st.floats(min_value=-15.0, max_value=15.0),
+                st.floats(min_value=-15.0, max_value=15.0),
+            ),
+            max_size=30,
+        ),
+        xmin=st.floats(min_value=-20.0, max_value=10.0),
+        ymin=st.floats(min_value=-20.0, max_value=10.0),
+        width=st.floats(min_value=0.0, max_value=25.0),
+        height=st.floats(min_value=0.0, max_value=25.0),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_hot_lattice_matches_hot_stops(self, points, xmin, ymin, width, height):
+        """Coordinate classification == the per-Point mask, in walk order."""
+        rect = Rect(xmin, ymin, xmin + width, ymin + height)
+        stops = exploration_stops(rect)
+        xs = sorted({s[0] for s in stops})
+        ys = sorted({s[1] for s in stops})
+        index = frontier_for([Point(*p) for p in points], 1.0)
+        mask = index.hot_stops(stops)
+        assert index.hot_lattice(xs, ys) == [i for i, hot in enumerate(mask) if hot]
+
     def test_empty_index(self):
         index = frontier_for([], 1.0)
         assert index.hot_stops([Point(0, 0)]) == [False]
+        assert index.hot_lattice([0.0, 1.0], [0.0]) == []
         assert not index.any_within(Point(0, 0))
         assert not index.rect_overlaps(-5, -5, 5, 5)
 

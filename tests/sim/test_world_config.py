@@ -210,3 +210,15 @@ class TestCrashOnWake:
             for dy in (0.0, 1.0)
         ]
         assert flags[0] == flags[1]
+
+
+class TestEnergyTotals:
+    def test_total_odometer_is_a_plain_left_fold(self):
+        """Python 3.12's compensated sum() would give 1.0 here; the pinned
+        energies are the plain left fold's, on every interpreter."""
+        world = World(
+            source=Point(0, 0), positions=[Point(1, 0), Point(2, 0), Point(3, 0)]
+        )
+        for rid, odometer in zip((1, 2, 3), (1e16, 1.0, -1e16)):
+            world.robots[rid].odometer = odometer
+        assert world.total_odometer() == 0.0
